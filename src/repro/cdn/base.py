@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Mapping, Optional
 
 from repro.cdn.server import OriginServer
 from repro.cdn.storage import ContentStore
@@ -44,6 +45,13 @@ from repro.types import Address, ObjectKey, WebsiteId
 from repro.workload.catalog import Catalog
 from repro.workload.queries import QueryStream
 from repro.workload.zipf import ZipfSampler
+
+#: The shared read-only empties a peer holds in place of the state of an
+#: extension plane that is off: reads see "nothing", and a stray write
+#: raises instead of allocating per-peer state.  (``frozenset()`` is not a
+#: singleton, hence the constant.)
+NO_ENTRIES: Mapping = MappingProxyType({})
+NO_KEYS: FrozenSet = frozenset()
 
 
 @dataclass(frozen=True)
@@ -266,6 +274,21 @@ class BasePeer(NetworkNode):
     ever lost or double-resolved.
     """
 
+    __slots__ = (
+        "system",
+        "identity",
+        "rng",
+        "website",
+        "locality",
+        "store",
+        "stream",
+        "queries_issued",
+        "sessions",
+        "_query_process",
+        "_open_queries",
+        "_swarms",
+    )
+
     def __init__(
         self,
         system: "CdnSystem",
@@ -290,8 +313,10 @@ class BasePeer(NetworkNode):
         self._query_process: Optional[PeriodicProcess] = None
         #: key -> issue time of queries not yet finalized (the ledger).
         self._open_queries: Dict[ObjectKey, float] = {}
-        #: key -> active chunked transfer (empty unless ``swarming``).
-        self._swarms: Dict[ObjectKey, object] = {}
+        #: key -> active chunked transfer (``swarming`` only).
+        self._swarms: Mapping[ObjectKey, object] = (
+            {} if system.params.swarming else NO_ENTRIES
+        )
 
     # ------------------------------------------------------------- lifecycle
     def begin_session(self) -> None:

@@ -35,14 +35,14 @@ Maintenance (section 5):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Set
 
-from repro.cdn.base import BasePeer
+from repro.cdn.base import NO_ENTRIES, NO_KEYS, BasePeer
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.swarm import SwarmTransfer
 from repro.cdn.flower.replication import (
+    NO_REPLICAS,
     DirectoryReplicator,
     ReplicaRecord,
     ReplicaStore,
@@ -56,6 +56,7 @@ from repro.gossip.cyclon import CyclonProtocol
 from repro.gossip.summaries import make_summary
 from repro.gossip.view import Contact, PartialView
 from repro.metrics.loadbalance import top_gini_contributors
+from repro.net.dispatch import Handler
 from repro.net.message import Message
 from repro.sim.process import PeriodicProcess
 from repro.types import Address, ChordId, ObjectKey
@@ -106,18 +107,55 @@ class DirInfo:
 class FlowerPeer(BasePeer):
     """A Flower-CDN / PetalUp-CDN participant (see module docstring)."""
 
+    # Slotted, and the containers of an extension plane that is off are the
+    # shared read-only empties (``NO_ENTRIES``, ``NO_KEYS``, ``()``,
+    # ``NO_REPLICAS``): a run keeps every identity that ever arrived, so
+    # per-peer bytes scale the whole simulation's memory.
+    __slots__ = (
+        "view",
+        "peer_summaries",
+        "summary",
+        "dir_info",
+        "gossip",
+        "_gossip_process",
+        "_keepalive_process",
+        "_dir_strikes",
+        "_reprobe_pending",
+        "_pending_pushes",
+        "directory",
+        "_sweep_process",
+        "_recovering",
+        "_registering",
+        "_shed_notices",
+        "_shedding_members",
+        "fetches_served",
+        "chunk_holdings",
+        "_swarm_hints",
+        "_placed",
+        "bytes_uploaded",
+        "replica_store",
+        "_replicator",
+        "_reconciling",
+        "_last_announce_ms",
+        "_search_replicas",
+        "_search_members",
+        "_search_position",
+        "_petal_loads",
+    )
+
     def __init__(self, system, identity, website, cluster_hint=None):
         super().__init__(system, identity, website, cluster_hint)
+        params = system.params
         # --- content role ---
         self.view = PartialView(owner=self.address)
         self.peer_summaries: Dict[Address, Any] = {}
-        self.summary = make_summary(system.params.summary_kind)
+        self.summary = make_summary(params.summary_kind)
         self.dir_info: Optional[DirInfo] = None
         self.gossip = CyclonProtocol(
             self,
             self.view,
             self.rng,
-            shuffle_size=system.params.gossip_shuffle_size,
+            shuffle_size=params.gossip_shuffle_size,
             local_data=self._gossip_data,
             on_peer_data=self._on_gossip_data,
             on_contact_dead=self._on_contact_dead,
@@ -131,9 +169,10 @@ class FlowerPeer(BasePeer):
         # re-probe decides between recovery and declared failure.
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes: Deque[List[ObjectKey]] = deque(
-            maxlen=system.params.push_queue_limit
-        )
+        # Pushes queued while the directory is suspect, capped at
+        # ``push_queue_limit``.  A count suffices: pushes carry the full key
+        # list, so the flush sends one fresh push instead of replaying them.
+        self._pending_pushes = 0
         # --- directory role ---
         self.directory: Optional[DirectoryRole] = None
         self._sweep_process: Optional[PeriodicProcess] = None
@@ -148,91 +187,61 @@ class FlowerPeer(BasePeer):
         #: Successful ``flower.fetch`` replies served from our cache --
         #: the per-peer content-load signal behind the Gini reports.
         self.fetches_served = 0
-        # --- swarming (chunked transfers; inert unless params.swarming) ---
+        # --- swarming (chunked transfers; only with params.swarming) ---
+        swarming = params.swarming
         #: Partial chunk replicas placed on us by full-object holders
         #: (bounded, FIFO-evicted): key -> held chunk indices.
-        self.chunk_holdings: Dict[ObjectKey, Set[int]] = {}
+        self.chunk_holdings: Mapping[ObjectKey, Set[int]] = (
+            {} if swarming else NO_ENTRIES
+        )
         #: Other holders we can name in ``swarm.manifest`` replies: the
         #: peers we placed chunks on, or the placer that seeded us.
-        self._swarm_hints: Dict[ObjectKey, List[Address]] = {}
-        self._placed: Set[ObjectKey] = set()
+        self._swarm_hints: Mapping[ObjectKey, List[Address]] = (
+            {} if swarming else NO_ENTRIES
+        )
+        self._placed: Set[ObjectKey] = set() if swarming else NO_KEYS
         #: Chunk payload bytes served to swarming downloaders -- the load
         #: signal the seeder_death chaos phase targets.
         self.bytes_uploaded = 0
-        # --- warm failover (section 5.3; inert while replication_k == 0) ---
-        self.replica_store = ReplicaStore()
+        # --- warm failover (section 5.3; only while replication_k > 0) ---
+        self.replica_store = (
+            ReplicaStore() if params.replication_k > 0 else NO_REPLICAS
+        )
         self._replicator: Optional[DirectoryReplicator] = None
         self._reconciling = False
         self._last_announce_ms = float("-inf")
         # --- scoped search failover (section 5.4; needs a search engine) ---
         # Replica holders of our directory slot, piggybacked on keepalive /
         # push / registration replies; consulted when a search cannot be
-        # answered by the directory itself.
-        self._search_replicas: List[Address] = []
-        self._search_members: List[Address] = []
+        # answered by the directory itself.  Replaced, never mutated.
+        self._search_replicas: Sequence[Address] = ()
+        self._search_members: Sequence[Address] = ()
         self._search_position: Optional[int] = None
-        # --- queue-aware redirect hints (overload extension; inert unless
+        # --- queue-aware redirect hints (overload extension; only with
         # params.redirect_hints) --- instance address -> (queue depth,
         # as-of time), harvested from directory replies and replica-sync
         # load vectors; consulted to pre-route a query to the least-loaded
         # live instance before the admission queue sheds it.
-        self._petal_loads: Dict[Address, tuple] = {}
-        # --- delivery fast path ---
-        # Pre-register dispatch wrappers so ``Network._deliver`` hits the
-        # handler cache directly and skips the ``on_message`` frame for the
-        # kinds that dominate a run.  Each wrapper re-reads the live role
-        # (``self.directory``) at call time, so invoking it is behaviourally
-        # identical to routing through :meth:`on_message`.
-        cache = self._handler_cache
-        cache["chord.route"] = self._dispatch_chord_route
-        cache["chord.route_result"] = self._dispatch_chord_route_result
-        cache["gossip.shuffle"] = self._dispatch_gossip_shuffle
-        for kind in (
-            "chord.get_state",
-            "chord.notify",
-            "chord.ping",
-            "chord.probe",
-            "chord.successor_hint",
-            "chord.predecessor_hint",
-        ):
-            cache[kind] = self._dispatch_chord_component
+        self._petal_loads: Mapping[Address, tuple] = (
+            {} if params.redirect_hints else NO_ENTRIES
+        )
 
     # ------------------------------------------------------------ dispatch
-    def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
-        """Route chord/gossip traffic to components, the rest to handlers.
-
-        The checks are ordered by observed message frequency (``chord.route``
-        dominates a Flower run), and the chord component's handler cache is
-        consulted directly rather than through ``ChordNode.on_message`` --
-        this method runs once for every delivered message in the system.
-        """
-        kind = message.kind
+    @classmethod
+    def _handler_for(cls, kind: str) -> Optional[Handler]:
+        """Route chord/gossip traffic to components, the rest to
+        ``handle_<kind>`` methods.  Each routing function re-reads the live
+        role (``self.directory``) at call time."""
         if kind == "chord.route":
-            chord = self.directory.chord if self.directory is not None else None
-            return route_step(chord, self, message)
+            return cls._dispatch_chord_route
         if kind == "chord.route_result":
-            return deliver_route_result(self, message)
+            return cls._dispatch_chord_route_result
         if kind.startswith("chord."):
-            directory = self.directory
-            chord = directory.chord if directory is not None else None
-            if chord is None:
-                # Stale D-ring traffic for a role we no longer hold.
-                if kind == "chord.probe":
-                    return {"status": "not_ready"}
-                return {}
-            handler = chord._handler_cache.get(kind)
-            if handler is None:
-                return chord.on_message(message)  # resolve + cache once
-            return handler(message)
+            return cls._dispatch_chord_component
         if kind == "gossip.shuffle":
-            return self.gossip.handle_shuffle(message)
-        handler = self._handler_cache.get(kind)
-        if handler is None:
-            return super().on_message(message)  # resolve + cache once
-        return handler(message)
+            return cls._dispatch_gossip_shuffle
+        return super()._handler_for(kind)
 
-    # Cache-resident wrappers (see ``__init__``): one Python frame instead of
-    # the full ``on_message`` prefix-matching cascade per delivery.
     def _dispatch_chord_route(self, message: Message) -> Optional[Dict[str, Any]]:
         directory = self.directory
         return route_step(
@@ -249,13 +258,14 @@ class FlowerPeer(BasePeer):
         directory = self.directory
         chord = directory.chord if directory is not None else None
         if chord is None:
+            # Stale D-ring traffic for a role we no longer hold.
             if message.kind == "chord.probe":
                 return {"status": "not_ready"}
             return {}
-        handler = chord._handler_cache.get(message.kind)
+        handler = chord._handlers.get(message.kind)
         if handler is None:
             return chord.on_message(message)  # resolve + cache once
-        return handler(message)
+        return handler(chord, message)
 
     # ------------------------------------------------------------ lifecycle
     def _on_session_begin(self) -> None:
@@ -286,7 +296,8 @@ class FlowerPeer(BasePeer):
         if self._replicator is not None:
             self._replicator.stop()
             self._replicator = None
-        self.replica_store.clear()
+        if self.replica_store:
+            self.replica_store.clear()
         self._reconciling = False
         self._last_announce_ms = float("-inf")
         self.dir_info = None
@@ -298,11 +309,12 @@ class FlowerPeer(BasePeer):
         self._shedding_members = False
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes.clear()
-        self._search_replicas = []
-        self._search_members = []
+        self._pending_pushes = 0
+        self._search_replicas = ()
+        self._search_members = ()
         self._search_position = None
-        self._petal_loads = {}
+        if self._petal_loads:
+            self._petal_loads.clear()
 
     @property
     def is_directory(self) -> bool:
@@ -972,7 +984,7 @@ class FlowerPeer(BasePeer):
             return  # we became a directory in the meantime
         self.dir_info = DirInfo(position, address, age=0)
         self._dir_strikes = 0
-        self._pending_pushes.clear()
+        self._pending_pushes = 0
         self._harvest_search_replicas(reply)
         self._harvest_load_hint(reply)
         for contact_address in reply.get("view_sample", []):
@@ -1060,7 +1072,7 @@ class FlowerPeer(BasePeer):
                 # The slot changed hands: the replacement directory must
                 # learn our content to rebuild its index (section 5.2.2).
                 self._dir_strikes = 0
-                self._pending_pushes.clear()
+                self._pending_pushes = 0
                 self.store.reset_push_state()
                 if len(self.store):
                     self._push_to_directory()
@@ -1104,10 +1116,10 @@ class FlowerPeer(BasePeer):
         info = self.dir_info
         if info is None or not self.alive:
             return
-        keys = sorted(self.store.keys())
         if self._dir_suspect:
-            self._queue_push(keys)
+            self._queue_push()
             return
+        keys = sorted(self.store.keys())
 
         def on_reply(payload: Dict[str, Any]) -> None:
             if payload.get("status") == "ok":
@@ -1115,7 +1127,7 @@ class FlowerPeer(BasePeer):
                 info.age = 0
                 # This push carried the full key list, superseding anything
                 # queued while the directory was suspect.
-                self._pending_pushes.clear()
+                self._pending_pushes = 0
                 self._harvest_search_replicas(payload)
                 self._harvest_load_hint(payload)
                 self._note_directory_alive(info)
@@ -1123,7 +1135,7 @@ class FlowerPeer(BasePeer):
                 self._on_directory_failure(info)
 
         def on_give_up() -> None:
-            self._queue_push(keys)
+            self._queue_push()
             self._on_directory_strike(info)
 
         self._directory_rpc(info, "flower.push", {"keys": keys}, on_reply, on_give_up)
@@ -1174,7 +1186,7 @@ class FlowerPeer(BasePeer):
         )
         if self._dir_strikes >= params.dir_failure_threshold:
             self._dir_strikes = 0
-            self._pending_pushes.clear()
+            self._pending_pushes = 0
             self._on_directory_failure(info)
             return
         if not self._reprobe_pending:
@@ -1213,17 +1225,14 @@ class FlowerPeer(BasePeer):
                 position=info.position_id,
             )
         if self._pending_pushes:
-            self._pending_pushes.clear()
+            self._pending_pushes = 0
             self.sim.emit("flower.push_flushed", peer=self.address)
             self._push_to_directory()
 
-    def _queue_push(self, keys: List[ObjectKey]) -> None:
-        self._pending_pushes.append(keys)
-        self.sim.emit(
-            "flower.push_queued",
-            peer=self.address,
-            queued=len(self._pending_pushes),
-        )
+    def _queue_push(self) -> None:
+        queued = min(self._pending_pushes + 1, self.system.params.push_queue_limit)
+        self._pending_pushes = queued
+        self.sim.emit("flower.push_queued", peer=self.address, queued=queued)
 
     def _on_evicted(self, keys) -> None:
         # Summaries have no removal (Bloom filters cannot unlearn), so
@@ -1253,7 +1262,7 @@ class FlowerPeer(BasePeer):
         self.dir_info = None
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes.clear()
+        self._pending_pushes = 0
         self.sim.emit(
             "flower.directory_failure_detected",
             peer=self.address,
@@ -1862,7 +1871,7 @@ class FlowerPeer(BasePeer):
         self.dir_info = None
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes.clear()
+        self._pending_pushes = 0
         params = self.system.params
         if self._sweep_process is None or not self._sweep_process.active:
             self._sweep_process = PeriodicProcess(
@@ -2081,7 +2090,7 @@ class FlowerPeer(BasePeer):
             self.dir_info = DirInfo(role.position_id, winner, age=0)
             self._dir_strikes = 0
             self._reprobe_pending = False
-            self._pending_pushes.clear()
+            self._pending_pushes = 0
             self._start_content_processes()
             self.store.reset_push_state()
             if len(self.store):
@@ -2169,7 +2178,7 @@ class FlowerPeer(BasePeer):
             self.dir_info = DirInfo(position, message.src, age=0)
             self._dir_strikes = 0
             self._reprobe_pending = False
-            self._pending_pushes.clear()
+            self._pending_pushes = 0
             self._start_content_processes()
             if changed:
                 self.store.reset_push_state()
@@ -2213,7 +2222,7 @@ class FlowerPeer(BasePeer):
             self.dir_info = DirInfo(payload["position"], winner, age=0)
             self._dir_strikes = 0
             self._reprobe_pending = False
-            self._pending_pushes.clear()
+            self._pending_pushes = 0
             self._start_content_processes()
             self.store.reset_push_state()
             if len(self.store):
@@ -2239,7 +2248,7 @@ class FlowerPeer(BasePeer):
         self.dir_info = DirInfo(payload["position"], new_address, age=0)
         self._dir_strikes = 0
         self._reprobe_pending = False
-        self._pending_pushes.clear()
+        self._pending_pushes = 0
         self._start_content_processes()
         self.store.reset_push_state()
         if len(self.store):

@@ -47,6 +47,7 @@ what keeps replication-off runs on the determinism goldens.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import CDNError
@@ -235,6 +236,8 @@ class ReplicaRecord:
 class ReplicaStore:
     """Per-peer storage of replicas received via ``flower.replica_sync``."""
 
+    __slots__ = ("_records",)
+
     def __init__(self) -> None:
         self._records: Dict[ChordId, ReplicaRecord] = {}
 
@@ -293,6 +296,12 @@ class ReplicaStore:
     def best_for(self, position: ChordId) -> Optional[ReplicaRecord]:
         """Alias of :meth:`get` kept for call-site readability."""
         return self._records.get(position)
+
+
+#: The shared read-only store every peer holds while replication is off:
+#: reads find nothing, and a write (``accept``, ``drop``, ``clear``) raises.
+NO_REPLICAS = ReplicaStore()
+NO_REPLICAS._records = MappingProxyType({})
 
 
 class DirectoryReplicator:

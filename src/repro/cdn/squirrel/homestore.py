@@ -32,6 +32,8 @@ from repro.types import Address, ObjectKey
 class HomeStorePeer(SquirrelPeer):
     """A Squirrel peer under the home-store (replication) strategy."""
 
+    __slots__ = ("replica_store",)
+
     def __init__(self, system, identity, website, cluster_hint=None):
         super().__init__(system, identity, website, cluster_hint)
         #: Replicas this peer hosts *as a home node* -- content it never

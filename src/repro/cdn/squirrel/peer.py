@@ -14,6 +14,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.cdn.base import BasePeer
 from repro.dht.node import ChordNode, LookupResult, deliver_route_result, route_step
+from repro.net.dispatch import Handler
 from repro.net.message import Message
 from repro.types import Address, ObjectKey
 
@@ -21,44 +22,29 @@ from repro.types import Address, ObjectKey
 class SquirrelPeer(BasePeer):
     """A Squirrel peer: Chord member + home-node directory + client."""
 
+    __slots__ = ("node_id", "chord", "home_directory")
+
     def __init__(self, system, identity, website, cluster_hint=None):
         super().__init__(system, identity, website, cluster_hint)
         self.node_id = system.ring.space.hash_value(f"squirrel-peer-{self.address}")
         self.chord: Optional[ChordNode] = None
         #: object key -> ordered delegate addresses (oldest first).
         self.home_directory: Dict[ObjectKey, "OrderedDict[Address, None]"] = {}
-        # Delivery fast path: pre-register wrappers so ``Network._deliver``
-        # can dispatch straight from the handler cache (each wrapper re-reads
-        # ``self.chord`` at call time -- identical to the on_message route).
-        cache = self._handler_cache
-        cache["chord.route"] = self._dispatch_chord_route
-        cache["chord.route_result"] = self._dispatch_chord_route_result
-        for kind in (
-            "chord.get_state",
-            "chord.notify",
-            "chord.ping",
-            "chord.probe",
-            "chord.successor_hint",
-            "chord.predecessor_hint",
-        ):
-            cache[kind] = self._dispatch_chord_component
 
     # ------------------------------------------------------------ dispatch
-    def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
-        """Route chord traffic to the Chord component, rest to handlers."""
-        if message.kind == "chord.route":
-            return route_step(self.chord, self, message)
-        if message.kind == "chord.route_result":
-            return deliver_route_result(self, message)
-        if message.kind.startswith("chord."):
-            if self.chord is None:
-                if message.kind == "chord.probe":
-                    return {"status": "not_ready"}
-                return {}
-            return self.chord.on_message(message)
-        return super().on_message(message)
+    @classmethod
+    def _handler_for(cls, kind: str) -> Optional[Handler]:
+        """Route chord traffic to the Chord component, the rest to
+        ``handle_<kind>`` methods.  Each function re-reads ``self.chord``
+        at call time."""
+        if kind == "chord.route":
+            return cls._dispatch_chord_route
+        if kind == "chord.route_result":
+            return cls._dispatch_chord_route_result
+        if kind.startswith("chord."):
+            return cls._dispatch_chord_component
+        return super()._handler_for(kind)
 
-    # Cache-resident wrappers (see ``__init__``).
     def _dispatch_chord_route(self, message: Message) -> Optional[Dict[str, Any]]:
         return route_step(self.chord, self, message)
 
@@ -71,10 +57,10 @@ class SquirrelPeer(BasePeer):
             if message.kind == "chord.probe":
                 return {"status": "not_ready"}
             return {}
-        handler = chord._handler_cache.get(message.kind)
+        handler = chord._handlers.get(message.kind)
         if handler is None:
             return chord.on_message(message)
-        return handler(message)
+        return handler(chord, message)
 
     # ------------------------------------------------------------ lifecycle
     def _on_session_begin(self) -> None:

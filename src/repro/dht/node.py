@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Set
 
 from repro.errors import DHTError
+from repro.net.dispatch import Dispatcher
 from repro.net.message import Message
 from repro.net.transport import NetworkNode
 from repro.sim.process import PeriodicProcess, desynchronized_start
@@ -89,7 +90,7 @@ LookupCallback = Callable[[LookupResult], None]
 _new_lookup_result = tuple.__new__
 
 
-class ChordNode:
+class ChordNode(Dispatcher):
     """One node's Chord state and behaviour.
 
     Args:
@@ -125,8 +126,6 @@ class ChordNode:
         self._ref = NodeRef(node_id, host.address)
         self._maintenance: Optional[PeriodicProcess] = None
         self._stabilizing = False
-        #: kind -> bound handler, resolved once (hot dispatch path).
-        self._handler_cache: Dict[str, Callable[[Message], Optional[Dict[str, Any]]]] = {}
 
     # ---------------------------------------------------------------- basics
     @property
@@ -400,15 +399,13 @@ class ChordNode:
 
     # ------------------------------------------------------------- handlers
     def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
-        """Dispatch ``chord.*`` message kinds to handler methods."""
+        """Dispatch ``chord.*`` message kinds to handler methods (through the
+        class's table, :mod:`repro.net.dispatch`)."""
         kind = message.kind
-        handler = self._handler_cache.get(kind)
+        handler = self._handlers.get(kind) or self._resolve_handler(kind)
         if handler is None:
-            handler = getattr(self, "handle_" + kind.replace(".", "_"), None)
-            if handler is None:
-                raise DHTError(f"unknown chord message kind {message.kind!r}")
-            self._handler_cache[kind] = handler
-        return handler(message)
+            raise DHTError(f"unknown chord message kind {message.kind!r}")
+        return handler(self, message)
 
     def handle_chord_probe(self, message: Message) -> Dict[str, Any]:
         """One step of an iterative lookup (see :class:`_Lookup`)."""

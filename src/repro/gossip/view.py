@@ -17,23 +17,38 @@ limit (section 4).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from repro.types import Address
 
 
-@dataclass
 class Contact:
     """One view entry: a peer we believe is in our petal.
 
     Attributes:
         address: the contact's network address.
         age: gossip rounds since this entry was known fresh (0 = fresh).
+
+    Hand-slotted (``dataclass(slots=True)`` needs Python 3.10): every view
+    of every peer holds these, so a per-instance dict would dominate their
+    size.  Compares by value; unhashable, since ``age`` is mutated in place.
     """
 
-    address: Address
-    age: int = 0
+    __slots__ = ("address", "age")
+
+    def __init__(self, address: Address, age: int = 0) -> None:
+        self.address = address
+        self.age = age
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.address == other.address and self.age == other.age
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"Contact(address={self.address!r}, age={self.age!r})"
 
     def aged(self, delta: int = 1) -> "Contact":
         return Contact(self.address, self.age + delta)

@@ -401,8 +401,12 @@ class ShardedNetwork(Network):
             if cause is not None:
                 self._drop(cause, message.kind, dst)
                 return
-        handler = dst_node._handler_cache.get(message.kind)
-        reply = dst_node.on_message(message) if handler is None else handler(message)
+        handler = dst_node._handlers.get(message.kind)
+        reply = (
+            dst_node.on_message(message)
+            if handler is None
+            else handler(dst_node, message)
+        )
         if context is not None:
             self.messages_sent += 1
             src = message.src
@@ -449,8 +453,12 @@ class ShardedNetwork(Network):
                 self._drop(cause, kind, dst)
                 return
         message = Message(src, dst, kind, payload, sent_at=sent_at)
-        handler = dst_node._handler_cache.get(kind)
-        reply = dst_node.on_message(message) if handler is None else handler(message)
+        handler = dst_node._handlers.get(kind)
+        reply = (
+            dst_node.on_message(message)
+            if handler is None
+            else handler(dst_node, message)
+        )
         if token is not None:
             self.messages_sent += 1
             latency = self._link_latency(dst, src)

@@ -23,6 +23,7 @@ from heapq import heappush
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TransportError
+from repro.net.dispatch import Dispatcher
 from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
@@ -54,11 +55,13 @@ ADDR_SHIFT = 32
 MAX_PACKED_ADDRESS = 1 << ADDR_SHIFT
 
 
-class NetworkNode:
+class NetworkNode(Dispatcher):
     """Base class of every protocol endpoint.
 
     Subclasses implement ``handle_<kind>(message) -> Optional[dict]`` methods;
     the returned dict (if any) is delivered to the RPC caller as the reply.
+    Handlers are resolved through the class's dispatch table
+    (:mod:`repro.net.dispatch`), so a node carries no dispatch state.
 
     Attributes:
         network: the owning :class:`Network`.
@@ -67,14 +70,21 @@ class NetworkNode:
         alive: liveness flag; dead nodes receive nothing and send nothing.
     """
 
+    # Slotted: a run keeps every peer identity that ever arrived, so the
+    # per-node footprint scales the whole simulation's memory.
+    __slots__ = (
+        "network",
+        "sim",
+        "alive",
+        "address",
+        "_chord_pending_lookups",
+        "_chord_nonce_seq",
+    )
+
     def __init__(self, network: "Network", cluster_hint: Optional[int] = None) -> None:
         self.network = network
         self.sim: Simulator = network.sim
         self.alive = True
-        #: kind -> bound handler method, resolved once per kind (dispatch
-        #: runs for every delivered message; the getattr + str.replace pair
-        #: is too expensive to repeat hundreds of thousands of times).
-        self._handler_cache: Dict[str, Callable[[Message], Optional[Dict[str, Any]]]] = {}
         #: per-host Chord lookup correlation state (owned by repro.dht.node;
         #: pre-created here so the recursive-lookup hot path uses direct
         #: attribute access instead of getattr-with-default).
@@ -276,16 +286,13 @@ class NetworkNode:
     def on_message(self, message: Message) -> Optional[Dict[str, Any]]:
         """Dispatch to ``handle_<kind>``.  Subclasses rarely override this."""
         kind = message.kind
-        handler = self._handler_cache.get(kind)
+        handler = self._handlers.get(kind) or self._resolve_handler(kind)
         if handler is None:
-            handler = getattr(self, "handle_" + kind.replace(".", "_"), None)
-            if handler is None:
-                raise TransportError(
-                    f"{type(self).__name__} at {self.address} has no handler "
-                    f"for message kind {message.kind!r}"
-                )
-            self._handler_cache[kind] = handler
-        return handler(message)
+            raise TransportError(
+                f"{type(self).__name__} at {self.address} has no handler "
+                f"for message kind {message.kind!r}"
+            )
+        return handler(self, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.alive else "down"
@@ -524,13 +531,17 @@ class Network:
             if cause is not None:
                 self._drop(cause, message.kind, dst)
                 return
-        # Cache-first dispatch: a node's ``_handler_cache`` only ever holds
+        # Table-first dispatch: a class's ``_handlers`` table only ever holds
         # handlers whose invocation is behaviourally identical to running the
-        # node's full ``on_message`` for that kind (overrides special-case
-        # their kinds *before* the caching tail, or pre-register equivalent
-        # wrappers), so a hit here skips one Python frame per delivery.
-        handler = dst_node._handler_cache.get(message.kind)
-        reply = dst_node.on_message(message) if handler is None else handler(message)
+        # node's full ``on_message`` for that kind (an override special-cases
+        # its kinds *before* delegating to the resolving base), so a hit here
+        # skips one Python frame per delivery.
+        handler = dst_node._handlers.get(message.kind)
+        reply = (
+            dst_node.on_message(message)
+            if handler is None
+            else handler(dst_node, message)
+        )
         if context is not None:
             self.messages_sent += 1
             src = message.src

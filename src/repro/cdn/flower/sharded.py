@@ -13,11 +13,12 @@ are plain picklable tuples).
 Warm start without shared state: the initial D-ring membership is fully
 deterministic -- ``DRingKeyService.all_positions`` fixes the (website,
 locality) -> identifier mapping, and the structured address layout fixes
-each seed directory's address (:meth:`ShardMap.seed_peer_address`).  Every
-shard therefore computes the *global* sorted membership table locally and
-derives converged successor/predecessor/finger tables for its own nodes
-(:meth:`ChordRing.warm_tables`); no cross-shard communication happens at
-setup.
+each seed directory's address (:meth:`ShardMap.seed_peer_address`).  The
+*global* sorted membership table (:meth:`ShardMap.seed_ring`) is therefore
+computable without any shard's state; it is derived once per world and each
+shard derives converged successor/predecessor/finger tables for its own
+nodes from it (:meth:`ChordRing.warm_tables`); no cross-shard communication
+happens at setup.
 
 Deviations from the single-process build (documented in docs/PROTOCOLS.md
 section 10): the bootstrap registry (``ring.random_bootstrap`` and join-race
@@ -34,7 +35,7 @@ from repro.cdn.base import ProtocolParams
 from repro.cdn.flower.directory import DirectoryRole
 from repro.cdn.flower.peer import FlowerPeer
 from repro.cdn.flower.system import FlowerSystem
-from repro.dht.node import ChordNode, NodeRef
+from repro.dht.node import ChordNode
 from repro.errors import CDNError
 from repro.metrics.collector import MetricsCollector
 from repro.net.shardnet import ShardedBinner, ShardedNetwork, ShardMap
@@ -78,48 +79,46 @@ class ShardedFlowerSystem(FlowerSystem):
     def setup_initial_population(self) -> None:
         """Create this shard's slice of the initial D-ring, globally warm.
 
-        Iterates the deterministic global enumeration, creating peers only
-        for local localities; identities are numbered 0..n_local-1 in
+        Walks (website, local locality) in the global enumeration's
+        website-major order, so identities are numbered 0..n_local-1 in
         enumeration order (each shard has its own identity space).  Warm
-        tables are computed against the full global membership, so fingers
-        and successor lists point across shards from the first event.
+        tables are computed against the full global membership -- the
+        world's :class:`~repro.net.shardnet.SeedRing`, derived once per
+        shard map and shared by every cell -- so fingers and successor
+        lists point across shards from the first event.
         """
         if self.seed_identities:
             raise CDNError("initial population already created")
-        local = set(self.shard_map.localities_of(self.shard_id))
-        # The full initial membership, computable in any shard.
-        global_refs: List[NodeRef] = sorted(
-            NodeRef(position, self.shard_map.seed_peer_address(website, locality))
-            for website, locality, position in self.key_service.all_positions(0)
-        )
-        index_of = {ref.id: i for i, ref in enumerate(global_refs)}
+        seed_ring = self.shard_map.seed_ring(self.key_service)
+        local = self.shard_map.localities_of(self.shard_id)
         roles: List[DirectoryRole] = []
         peers: List[FlowerPeer] = []
         identity = 0
-        for website, locality, position in self.key_service.all_positions(0):
-            if locality not in local:
-                continue
-            self.assign_website(identity, website)
-            peer = FlowerPeer(self, identity, website, cluster_hint=locality)
-            expected = self.shard_map.seed_peer_address(website, locality)
-            if peer.address != expected:  # pragma: no cover - layout invariant
-                raise CDNError(
-                    f"seed address drift: got {peer.address}, expected {expected}"
+        for website in range(self.key_service.num_websites):
+            for locality in local:
+                position = self.key_service.position_id(website, locality, 0)
+                index = seed_ring.index_of[position]
+                self.assign_website(identity, website)
+                peer = FlowerPeer(self, identity, website, cluster_hint=locality)
+                expected = seed_ring.refs[index].address
+                if peer.address != expected:  # pragma: no cover - layout invariant
+                    raise CDNError(
+                        f"seed address drift: got {peer.address}, expected {expected}"
+                    )
+                self.peers[identity] = peer
+                self.seed_identities.append(identity)
+                role = DirectoryRole(peer.address, website, locality, 0, position)
+                role.chord = ChordNode(peer, self.ring, position)
+                successors, predecessor, fingers = self.ring.warm_tables(
+                    seed_ring.refs, index, seed_ring.ids
                 )
-            self.peers[identity] = peer
-            self.seed_identities.append(identity)
-            role = DirectoryRole(peer.address, website, locality, 0, position)
-            role.chord = ChordNode(peer, self.ring, position)
-            successors, predecessor, fingers = self.ring.warm_tables(
-                global_refs, index_of[position]
-            )
-            role.chord.adopt_warm_state(
-                successors=successors, predecessor=predecessor, fingers=fingers
-            )
-            self.ring.register(role.chord)
-            roles.append(role)
-            peers.append(peer)
-            identity += 1
+                role.chord.adopt_warm_state(
+                    successors=successors, predecessor=predecessor, fingers=fingers
+                )
+                self.ring.register(role.chord)
+                roles.append(role)
+                peers.append(peer)
+                identity += 1
         for peer, role in zip(peers, roles):
             peer.begin_session()
             peer._directory_role_active(role)

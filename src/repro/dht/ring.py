@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import DHTError
 from repro.dht.idspace import IdSpace
@@ -181,11 +181,19 @@ class ChordRing:
         return len(self._members)
 
     # ------------------------------------------------------------ warm start
-    def warm_tables(self, ordered_refs: List["NodeRef"], index: int):
+    def warm_tables(
+        self,
+        ordered_refs: Sequence["NodeRef"],
+        index: int,
+        ids: Optional[Sequence[ChordId]] = None,
+    ):
         """Converged ``(successors, predecessor, fingers)`` of one member.
 
         *ordered_refs* is the full ring membership as plain refs, sorted by
         identifier; *index* selects the member whose tables to compute.
+        *ids* are those refs' identifiers in the same order; callers that
+        compute tables for many members pass them once instead of letting
+        every call rebuild the list (O(n) per call, O(n**2) per ring).
         Exactly the state stabilization would converge to -- the same
         arithmetic :meth:`warm_start` applies to co-resident nodes, exposed
         over refs so sharded runs can compute tables for a globally known
@@ -194,15 +202,18 @@ class ChordRing:
         n = len(ordered_refs)
         if n == 0:
             raise DHTError("cannot compute warm tables of an empty ring")
-        ids = [ref.id for ref in ordered_refs]
+        if ids is None:
+            ids = [ref.id for ref in ordered_refs]
         r = self.params.successor_list_size
         successors = [ordered_refs[(index + k) % n] for k in range(1, min(r, n) + 1)]
         if not successors:
             successors = [ordered_refs[index]]
+        # Finger i starts at node + 2**i (IdSpace.finger_start, inlined: the
+        # index is always in range here).
+        node_id = ids[index]
+        size = self.space.size
         fingers = [
-            ordered_refs[
-                bisect_left(ids, self.space.finger_start(ids[index], i)) % n
-            ]
+            ordered_refs[bisect_left(ids, (node_id + (1 << i)) % size) % n]
             for i in range(self.params.bits)
         ]
         return successors, ordered_refs[(index - 1) % n], fingers
@@ -222,7 +233,7 @@ class ChordRing:
             raise DHTError("duplicate identifiers in warm start")
         refs = [n.ref for n in ordered]
         for index, node in enumerate(ordered):
-            successors, predecessor, fingers = self.warm_tables(refs, index)
+            successors, predecessor, fingers = self.warm_tables(refs, index, ids)
             node.adopt_warm_state(
                 successors=successors,
                 predecessor=predecessor,

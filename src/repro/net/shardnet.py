@@ -39,15 +39,28 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
+from repro.dht.node import NodeRef
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
 from repro.net.topology import Topology
 from repro.net.transport import ADDR_SHIFT, Network, NetworkNode, _RpcContext
 from repro.sim.engine import Simulator
 from repro.sim.rng import derive_seed
-from repro.types import Address, Coordinate, LocalityId
+from repro.types import Address, ChordId, Coordinate, LocalityId
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.cdn.flower.dring import DRingKeyService
 
 #: Bits per shard address block (64k addresses per shard).
 BLOCK_BITS = 16
@@ -110,6 +123,16 @@ class ShardMap:
         self.localities_per_shard = per_shard_localities
         #: addresses available per (shard, locality) sub-block.
         self.locality_capacity = peer_space // per_shard_localities
+        # Round-robin ownership: shard s owns s, s + N, s + 2N, ... so slot
+        # i of shard s is locality ``i * N + s``, and every address encode
+        # and decode below is O(1) arithmetic, with no per-call scan.
+        self._localities: Tuple[Tuple[LocalityId, ...], ...] = tuple(
+            tuple(range(shard, num_localities, num_shards))
+            for shard in range(num_shards)
+        )
+        #: (key signature, SeedRing) of this world's initial D-ring,
+        #: derived on first use (see :meth:`seed_ring`).
+        self._seed_ring: Optional[Tuple[tuple, "SeedRing"]] = None
 
     # ------------------------------------------------------------- structure
     def shard_of_locality(self, locality: LocalityId) -> int:
@@ -117,9 +140,9 @@ class ShardMap:
 
     def localities_of(self, shard: int) -> Tuple[LocalityId, ...]:
         """The localities shard *shard* owns, ascending."""
-        return tuple(
-            loc for loc in range(self.num_localities) if loc % self.num_shards == shard
-        )
+        if not 0 <= shard < self.num_shards:
+            raise TransportError(f"no shard {shard} in a {self.num_shards}-shard map")
+        return self._localities[shard]
 
     # ------------------------------------------------------------- addresses
     def shard_of_address(self, address: Address) -> int:
@@ -136,7 +159,10 @@ class ShardMap:
                 f"locality {locality} address sub-block exhausted "
                 f"({self.locality_capacity} slots)"
             )
-        slot = self.localities_of(shard).index(locality)
+        known = 0 <= locality < self.num_localities
+        if not known or locality % self.num_shards != shard:
+            raise TransportError(f"locality {locality} is not owned by shard {shard}")
+        slot = locality // self.num_shards
         offset = self.num_websites + slot * self.locality_capacity + index
         return (shard << BLOCK_BITS) | offset
 
@@ -151,14 +177,18 @@ class ShardMap:
         latency behave as if the server were an in-region host.
         """
         shard = address >> BLOCK_BITS
+        if not 0 <= shard < self.num_shards:
+            raise TransportError(f"address {address} outside any shard block")
         offset = address & ((1 << BLOCK_BITS) - 1)
-        local = self.localities_of(shard)
         if offset < self.num_websites:
-            return local[offset % len(local)]
-        slot = (offset - self.num_websites) // self.locality_capacity
-        if slot >= len(local):
-            raise TransportError(f"address {address} outside any locality sub-block")
-        return local[slot]
+            slot = offset % self.localities_per_shard
+        else:
+            slot = (offset - self.num_websites) // self.locality_capacity
+            if slot >= self.localities_per_shard:
+                raise TransportError(
+                    f"address {address} outside any locality sub-block"
+                )
+        return slot * self.num_shards + shard
 
     def seed_peer_address(self, website: int, locality: LocalityId) -> Address:
         """Address of the seed directory peer of petal (website, locality).
@@ -170,6 +200,55 @@ class ShardMap:
         membership table locally (see ShardedFlowerSystem).
         """
         return self.peer_address(self.shard_of_locality(locality), locality, website)
+
+    def seed_ring(self, key_service: "DRingKeyService") -> "SeedRing":
+        """The world's initial D-ring membership, sorted by identifier.
+
+        One :class:`SeedRing` per map: it is derived on the first call and
+        every shard cell of the world sharing this map reads the same
+        read-only table, so a world enumerates and sorts its seed positions
+        once rather than once per shard.  A key service of another shape
+        (identifier width, instance count) replaces the table.
+        """
+        if (
+            key_service.num_websites != self.num_websites
+            or key_service.num_localities != self.num_localities
+        ):
+            raise ConfigError(
+                f"key service of {key_service.num_websites} websites x "
+                f"{key_service.num_localities} localities does not match the "
+                f"{self.num_websites} x {self.num_localities} shard map"
+            )
+        signature = (key_service.space.bits, key_service.max_instances)
+        cached = self._seed_ring
+        if cached is not None and cached[0] == signature:
+            return cached[1]
+        refs = tuple(
+            sorted(
+                NodeRef(position, self.seed_peer_address(website, locality))
+                for website, locality, position in key_service.all_positions(0)
+            )
+        )
+        ids = tuple(ref.id for ref in refs)
+        table = SeedRing(refs, ids, {node_id: i for i, node_id in enumerate(ids)})
+        self._seed_ring = (signature, table)
+        return table
+
+
+class SeedRing(NamedTuple):
+    """A sharded world's initial D-ring: one seed directory per position.
+
+    Attributes:
+        refs: every seed directory as a :class:`~repro.dht.node.NodeRef`,
+            sorted by identifier (the ``ordered_refs`` of
+            :meth:`ChordRing.warm_tables`).
+        ids: ``refs``' identifiers, in the same order.
+        index_of: identifier -> index into ``refs``.
+    """
+
+    refs: Tuple[NodeRef, ...]
+    ids: Tuple[ChordId, ...]
+    index_of: Dict[ChordId, int]
 
 
 class ShardedBinner:

@@ -17,7 +17,7 @@ in through the two callbacks.  In expectation the online population is
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
 from repro.errors import WorkloadError
 from repro.sim.engine import Simulator
@@ -70,13 +70,14 @@ class ChurnModel:
         self.on_arrival = on_arrival
         self.on_departure = on_departure
         self._online: Set[int] = set()
-        # Offline pool as swap-pop array + index map: O(1) admission of a
-        # random identity AND O(1) removal of a *specific* identity (seeding),
-        # so full-scale populations (REPRO_SCALE=full) stay O(1) per event.
+        # Offline pool as a swap-pop array: O(1) admission of a random
+        # identity and O(1) departure, so full-scale populations
+        # (REPRO_SCALE=full) stay O(1) per event.  Removing a *specific*
+        # identity (seeding only) is a scan, O(its position): seeds are
+        # taken in ascending order from a fresh pool and sit at its front
+        # (seed i at index i while seeds are under half the pool), so no
+        # per-identity index map is kept.
         self._offline: List[int] = list(range(num_identities))
-        self._offline_index: Dict[int, int] = {
-            identity: index for index, identity in enumerate(self._offline)
-        }
         self.arrivals = 0
         self.departures = 0
         self._started = False
@@ -123,19 +124,18 @@ class ChurnModel:
     def _take_offline_identity(self, identity: int) -> None:
         if identity in self._online:
             raise WorkloadError(f"identity {identity} is already online")
-        index = self._offline_index.get(identity)
-        if index is None:
-            raise WorkloadError(f"unknown identity {identity}")
+        try:
+            index = self._offline.index(identity)
+        except ValueError:
+            raise WorkloadError(f"unknown identity {identity}") from None
         self._pop_offline_at(index)
 
     def _pop_offline_at(self, index: int) -> int:
         """Swap-pop the identity at *index* from the offline pool: O(1)."""
-        identity = self._offline[index]
-        tail = self._offline[-1]
-        self._offline[index] = tail
-        self._offline_index[tail] = index
-        self._offline.pop()
-        del self._offline_index[identity]
+        offline = self._offline
+        identity = offline[index]
+        offline[index] = offline[-1]
+        offline.pop()
         return identity
 
     def _schedule_next_arrival(self) -> None:
@@ -179,7 +179,6 @@ class ChurnModel:
         if identity not in self._online:
             return  # already taken down by an earlier session's timer
         self._online.remove(identity)
-        self._offline_index[identity] = len(self._offline)
         self._offline.append(identity)
         self.departures += 1
         self.sim.emit("churn.departure", identity=identity)

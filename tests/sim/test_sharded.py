@@ -9,6 +9,12 @@ scheduler's lockstep sequencing.
 
 import pytest
 
+from repro.cdn.base import ProtocolParams
+from repro.cdn.flower.dring import DRingKeyService
+from repro.cdn.flower.sharded import ShardedFlowerSystem
+from repro.dht.idspace import IdSpace
+from repro.dht.node import NodeRef
+from repro.dht.ring import ChordRing, RingParams
 from repro.errors import ConfigError, TransportError
 from repro.net.message import Message
 from repro.net.shardnet import (
@@ -24,6 +30,7 @@ from repro.net.shardnet import (
 from repro.net.transport import NetworkNode
 from repro.sim.engine import Simulator
 from repro.sim.sharded import route_entries, run_windows, run_windows_parallel
+from repro.workload.catalog import Catalog
 
 
 # ------------------------------------------------------------------ ShardMap
@@ -82,12 +89,151 @@ class TestShardMap:
         with pytest.raises(ConfigError):
             ShardMap(shards, localities, websites)
 
+    def test_peer_address_in_a_foreign_locality_is_a_transport_error(self):
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        # Locality 1 belongs to shard 1; 4 and -1 belong to no shard at all.
+        for locality in (1, 4, -1):
+            with pytest.raises(TransportError, match=f"locality {locality} .*shard 0"):
+                smap.peer_address(0, locality, 0)
+
+    @pytest.mark.parametrize("offset", [0, 2, 3, 1 << (BLOCK_BITS - 1)])
+    def test_address_beyond_the_last_shard_is_a_transport_error(self, offset):
+        # Offsets 0 and 2 decode as origin-server slots, the others as peers.
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        with pytest.raises(TransportError, match="outside any shard"):
+            smap.locality_of_address((2 << BLOCK_BITS) | offset)
+
+    def test_localities_of_an_unknown_shard_is_a_transport_error(self):
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        for shard in (2, -1):
+            with pytest.raises(TransportError):
+                smap.localities_of(shard)
+
     def test_binner_decodes_exactly(self):
         smap = ShardMap(num_shards=2, num_localities=4, num_websites=2)
         binner = ShardedBinner(smap)
         assert binner.num_localities == 4
         address = smap.peer_address(1, 3, 7)
         assert binner.locality_of(address) == 3
+
+
+# ------------------------------------------------------------ seed D-ring
+def _shard_system(smap, shard_id, max_instances):
+    params = ProtocolParams(max_instances=max_instances)
+    sim = Simulator(seed=shard_id)
+    topology = ShardedTopology(smap, topology_seed=5)
+    network = ShardedNetwork(sim, topology, smap, shard_id)
+    catalog = Catalog(num_websites=smap.num_websites, objects_per_website=4)
+    return ShardedFlowerSystem(
+        sim, network, ShardedBinner(smap), catalog, params, smap, shard_id
+    )
+
+
+def _reference_seeding(smap, key_service, ring, shard_id):
+    """The shard's seeds as derived from the full global enumeration.
+
+    Every shard sorts all positions of ``all_positions(0)`` and keeps its
+    own localities in enumeration order: ``(website, locality, position,
+    address, warm tables)`` per local seed, identity order.
+    """
+    global_refs = sorted(
+        NodeRef(position, smap.seed_peer_address(website, locality))
+        for website, locality, position in key_service.all_positions(0)
+    )
+    index_of = {ref.id: i for i, ref in enumerate(global_refs)}
+    local = set(smap.localities_of(shard_id))
+    return [
+        (
+            website,
+            locality,
+            position,
+            smap.seed_peer_address(website, locality),
+            ring.warm_tables(global_refs, index_of[position]),
+        )
+        for website, locality, position in key_service.all_positions(0)
+        if locality in local
+    ]
+
+
+class TestShardSeedRing:
+    @pytest.mark.parametrize(
+        "shards,localities,websites,max_instances",
+        [(1, 1, 1, 1), (2, 4, 3, 1), (4, 8, 16, 1), (2, 4, 3, 4)],
+    )
+    def test_every_cell_matches_the_global_enumeration(
+        self, shards, localities, websites, max_instances
+    ):
+        smap = ShardMap(shards, localities, websites)
+        for shard_id in range(shards):
+            system = _shard_system(smap, shard_id, max_instances)
+            system.setup_initial_population()
+            expected = _reference_seeding(
+                smap, system.key_service, system.ring, shard_id
+            )
+            assert system.seed_identities == list(range(len(expected)))
+            for identity, (website, locality, position, address, tables) in enumerate(
+                expected
+            ):
+                peer = system.peers[identity]
+                assert (peer.website, peer.address) == (website, address)
+                assert smap.locality_of_address(peer.address) == locality
+                chord = system.ring.holder_of(position)
+                assert chord.host is peer
+                successors, predecessor, fingers = tables
+                assert chord.successors == successors
+                assert chord.predecessor == predecessor
+                assert chord.fingers == fingers
+
+    def test_table_is_derived_once_per_map_and_not_shared(self, monkeypatch):
+        calls = []
+        enumerate_positions = DRingKeyService.all_positions
+
+        def counting(self, instance=0):
+            calls.append(instance)
+            return enumerate_positions(self, instance)
+
+        monkeypatch.setattr(DRingKeyService, "all_positions", counting)
+        smap = ShardMap(num_shards=4, num_localities=8, num_websites=3)
+        systems = [_shard_system(smap, shard_id, 1) for shard_id in range(4)]
+        for system in systems:
+            system.setup_initial_population()
+        assert calls == [0]
+        table = smap.seed_ring(systems[0].key_service)
+        assert all(smap.seed_ring(s.key_service) is table for s in systems)
+        other = ShardMap(num_shards=4, num_localities=8, num_websites=3)
+        other_table = other.seed_ring(systems[0].key_service)
+        assert other_table is not table
+        assert other_table == table
+        assert calls == [0, 0]
+
+    def test_another_key_shape_replaces_the_table(self):
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        single = _shard_system(smap, 0, 1).key_service
+        multi = _shard_system(smap, 0, 4).key_service
+        assert smap.seed_ring(multi).ids == tuple(
+            sorted(pos for __, __, pos in multi.all_positions(0))
+        )
+        assert smap.seed_ring(single).ids == tuple(
+            sorted(pos for __, __, pos in single.all_positions(0))
+        )
+
+    def test_mismatched_key_service_is_a_config_error(self):
+        smap = ShardMap(num_shards=2, num_localities=4, num_websites=3)
+        with pytest.raises(ConfigError, match="does not match"):
+            smap.seed_ring(DRingKeyService(IdSpace(32), 2, 4))
+
+    def test_warm_tables_with_and_without_hoisted_ids(self):
+        smap = ShardMap(num_shards=4, num_localities=8, num_websites=16)
+        ring = ChordRing(RingParams(successor_list_size=3))
+        table = smap.seed_ring(DRingKeyService(ring.space, 16, 8))
+        for index in range(len(table.refs)):
+            hoisted = ring.warm_tables(table.refs, index, table.ids)
+            assert hoisted == ring.warm_tables(list(table.refs), index)
+            # Finger i is the first member at or after finger_start(node, i).
+            for i, finger in enumerate(hoisted[2]):
+                start = ring.space.finger_start(table.ids[index], i)
+                owner = next((r for r in table.refs if r.id >= start), table.refs[0])
+                assert finger == owner
 
 
 # ------------------------------------------------------------- route_entries

@@ -1,6 +1,10 @@
 """Unit and statistical tests for the churn model."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.sim.clock import hours, minutes
@@ -144,3 +148,91 @@ def test_departed_identity_goes_back_to_pool():
     sim.run(until=hours(24))
     if not model.is_online(0):
         assert model.online_count <= 5
+
+
+class _IndexedPool:
+    """Reference offline pool: swap-pop list plus identity -> index map.
+
+    The churn model's pool kept this index map until seeding switched to a
+    scan; this reference pins that the scan leaves the pool order, and so
+    every later ``randrange`` pick, exactly as the map did.
+    """
+
+    def __init__(self, num_identities, rng, mean_uptime_ms):
+        self.offline = list(range(num_identities))
+        self.index = {identity: i for i, identity in enumerate(self.offline)}
+        self.online = set()
+        self.rng = rng
+        self.mean_uptime_ms = mean_uptime_ms
+
+    def _pop_at(self, index):
+        identity = self.offline[index]
+        tail = self.offline[-1]
+        self.offline[index] = tail
+        self.index[tail] = index
+        self.offline.pop()
+        del self.index[identity]
+        self.online.add(identity)
+        return identity
+
+    def seed(self, identity):
+        self._pop_at(self.index[identity])
+
+    def arrive(self):
+        if not self.offline:
+            return None
+        identity = self._pop_at(self.rng.randrange(len(self.offline)))
+        self.rng.expovariate(1.0 / self.mean_uptime_ms)  # the session draw
+        return identity
+
+    def depart(self, identity):
+        self.online.remove(identity)
+        self.index[identity] = len(self.offline)
+        self.offline.append(identity)
+
+
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["seed", "arrive", "depart"]), st.integers(0, 10**6)),
+    max_size=80,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_identities=st.integers(1, 40),
+    seeds=st.integers(0, 20),
+    ops=_OPS,
+    rng_seed=st.integers(0, 2**32),
+)
+def test_pool_order_matches_the_indexed_reference(num_identities, seeds, ops, rng_seed):
+    sim = Simulator(seed=1)
+    model = ChurnModel(
+        sim,
+        random.Random(rng_seed),
+        num_identities=num_identities,
+        mean_uptime_ms=minutes(60),
+        target_population=1,
+        on_arrival=lambda identity: None,
+        on_departure=lambda identity: None,
+    )
+    reference = _IndexedPool(num_identities, random.Random(rng_seed), minutes(60))
+    # Initial population first, ascending, as the CDN systems seed it.
+    for identity in range(min(seeds, num_identities)):
+        model.seed_online(identity, schedule_departure=False)
+        reference.seed(identity)
+    model_arrivals, reference_arrivals = [], []
+    for op, pick in ops:
+        if op == "seed" and reference.offline:
+            identity = reference.offline[pick % len(reference.offline)]
+            model.seed_online(identity, schedule_departure=False)
+            reference.seed(identity)
+        elif op == "arrive":
+            model_arrivals.append(model._admit_arrival())
+            reference_arrivals.append(reference.arrive())
+        elif op == "depart" and reference.online:
+            identity = sorted(reference.online)[pick % len(reference.online)]
+            model._depart(identity)
+            reference.depart(identity)
+        assert model._offline == reference.offline
+    assert model_arrivals == reference_arrivals
+    assert model.online_count == len(reference.online)
